@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"synergy/internal/kernelir"
+	"synergy/internal/memo"
 )
 
 // Extraction must run exactly once per kernel fingerprint: the second
@@ -95,18 +96,10 @@ func TestFromMapRoundTrip(t *testing.T) {
 
 // The LRU bound must hold under churn of unique fingerprints.
 func TestExtractCacheBounded(t *testing.T) {
-	ResetCache()
 	// Temporarily shrink the cap.
-	cacheMu.Lock()
-	oldCap := cacheCap
-	cacheCap = 8
-	cacheMu.Unlock()
-	defer func() {
-		cacheMu.Lock()
-		cacheCap = oldCap
-		cacheMu.Unlock()
-		ResetCache()
-	}()
+	old := cache
+	cache = memo.New[string, Vector](8)
+	defer func() { cache = old }()
 	for i := 0; i < 40; i++ {
 		b := kernelir.NewBuilder("churn")
 		out := b.BufferF32("out", kernelir.Write)
@@ -124,5 +117,8 @@ func TestExtractCacheBounded(t *testing.T) {
 	}
 	if n := CacheSize(); n > 8 {
 		t.Fatalf("cache grew to %d entries, cap is 8", n)
+	}
+	if n := cache.Evictions(); n != 40-8 {
+		t.Fatalf("evictions = %d, want %d (one per distinct kernel past the cap)", n, 40-8)
 	}
 }

@@ -144,23 +144,17 @@ func Extract(k *kernelir.Kernel) (Vector, error) {
 
 // ExtractContext is Extract with cancellation: a canceled context
 // abandons a cache-miss extraction before the optimizer and the static
-// pass run. Cache hits are served regardless of context state — they
-// cost a map lookup, and returning memoized data is never wasted work.
-// Failed and abandoned extractions are not memoized.
+// pass run, and stops waiting on another caller's in-flight extraction
+// of the same kernel. Cache hits are served regardless of context
+// state — they cost a map lookup, and returning memoized data is never
+// wasted work. Failed and abandoned extractions are not memoized.
 func ExtractContext(ctx context.Context, k *kernelir.Kernel) (Vector, error) {
-	fp := kernelir.Fingerprint(k)
-	if v, ok := cacheGet(fp); ok {
-		return v, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return Vector{}, err
-	}
-	v, err := extract(opt.Cached(k))
-	if err != nil {
-		return Vector{}, err
-	}
-	cachePut(fp, v)
-	return v, nil
+	return cache.Do(ctx, kernelir.Fingerprint(k), func() (Vector, error) {
+		if err := ctx.Err(); err != nil {
+			return Vector{}, err
+		}
+		return extract(opt.Cached(k))
+	})
 }
 
 // extract is the uncached static pass.

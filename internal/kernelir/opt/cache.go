@@ -1,10 +1,11 @@
 package opt
 
 import (
-	"container/list"
-	"sync"
+	"context"
+	"sync/atomic"
 
 	"synergy/internal/kernelir"
+	"synergy/internal/memo"
 )
 
 // Fingerprint-keyed memo for Optimize, mirroring the features package's
@@ -16,19 +17,16 @@ import (
 
 const memoCap = 4096
 
-type memoEntry struct {
-	fp  string
+type optimized struct {
 	k   *kernelir.Kernel
 	res Result
 }
 
-var (
-	memoMu  sync.Mutex
-	memo    = make(map[string]*list.Element)
-	memoLRU list.List // front = most recent; values are *memoEntry
-	hits    uint64
-	runs    uint64
-)
+// cache is swapped for a fresh memo by ResetCache, which is how the
+// reset also zeroes the counters.
+var cache atomic.Pointer[memo.Memo[string, optimized]]
+
+func init() { ResetCache() }
 
 // Cached returns Optimize(k)'s kernel, memoized by fingerprint.
 func Cached(k *kernelir.Kernel) *kernelir.Kernel {
@@ -39,52 +37,23 @@ func Cached(k *kernelir.Kernel) *kernelir.Kernel {
 // CachedResult is Optimize memoized by kernelir.Fingerprint. Equal
 // fingerprints mean structurally identical kernels, so sharing the
 // optimized kernel (and its justification log) across callers is sound.
+// Concurrent callers of one fingerprint share a single Optimize run.
 // Fail-safe results (Result.Err != nil) are cached too: a kernel that
 // defeats the optimizer today will defeat it identically tomorrow.
 func CachedResult(k *kernelir.Kernel) (*kernelir.Kernel, Result) {
-	fp := kernelir.Fingerprint(k)
-	memoMu.Lock()
-	if el, ok := memo[fp]; ok {
-		memoLRU.MoveToFront(el)
-		ent := el.Value.(*memoEntry)
-		hits++
-		memoMu.Unlock()
-		return ent.k, ent.res
-	}
-	memoMu.Unlock()
-
-	nk, res := Optimize(k)
-
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	if el, ok := memo[fp]; ok {
-		// Raced with another optimizer run; the existing entry wins.
-		ent := el.Value.(*memoEntry)
-		return ent.k, ent.res
-	}
-	runs++
-	memo[fp] = memoLRU.PushFront(&memoEntry{fp: fp, k: nk, res: res})
-	for memoLRU.Len() > memoCap {
-		back := memoLRU.Back()
-		memoLRU.Remove(back)
-		delete(memo, back.Value.(*memoEntry).fp)
-	}
-	return nk, res
+	o, _ := cache.Load().Do(context.Background(), kernelir.Fingerprint(k), func() (optimized, error) {
+		nk, res := Optimize(k)
+		return optimized{nk, res}, nil
+	})
+	return o.k, o.res
 }
 
 // CacheStats reports (memoized runs currently held, hits, total runs).
 func CacheStats() (size int, hitCount, runCount uint64) {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	return len(memo), hits, runs
+	m := cache.Load()
+	return m.Len(), uint64(m.Hits()), uint64(m.Misses())
 }
 
-// ResetCache clears the memo. Tests use it to make runs deterministic.
-func ResetCache() {
-	memoMu.Lock()
-	defer memoMu.Unlock()
-	memo = make(map[string]*list.Element)
-	memoLRU.Init()
-	hits = 0
-	runs = 0
-}
+// ResetCache clears the memo and zeroes its counters. Tests use it to
+// make runs deterministic.
+func ResetCache() { cache.Store(memo.New[string, optimized](memoCap)) }

@@ -2,8 +2,10 @@ package opt_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"synergy/internal/benchsuite"
 	"synergy/internal/kernelir"
 	"synergy/internal/kernelir/opt"
 )
@@ -439,6 +441,42 @@ func TestCachedResultMemoizes(t *testing.T) {
 		t.Fatalf("cache stats = (%d, %d, %d), want (1, 1, 1)", size, hits, runs)
 	}
 	opt.ResetCache()
+}
+
+// TestCachedResultSingleflight: concurrent CachedResult calls on one
+// fresh kernel run Optimize once. Every other caller joins that run as a
+// hit and gets the same optimized kernel.
+func TestCachedResultSingleflight(t *testing.T) {
+	const callers = 16
+	b, err := benchsuite.ByName("correlation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := *b.Kernel
+	fresh.Name = "correlation_singleflight"
+	opt.ResetCache()
+	defer opt.ResetCache()
+	start := make(chan struct{})
+	got := make([]*kernelir.Kernel, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i] = opt.Cached(&fresh)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, k := range got {
+		if k != got[0] {
+			t.Fatalf("caller %d got a different optimized kernel", i)
+		}
+	}
+	if size, hits, runs := opt.CacheStats(); size != 1 || hits != callers-1 || runs != 1 {
+		t.Fatalf("cache stats = (%d, %d, %d), want (1, %d, 1): Optimize must run once", size, hits, runs, callers-1)
+	}
 }
 
 func TestResultPassCounts(t *testing.T) {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,8 @@ import (
 	"synergy/internal/kernelir/opt"
 )
 
+var integrationRuns atomic.Int64
+
 // TestEngineUsesCompiledPath asserts the sweep engine goes through the
 // compiled-program cache — and that the cache compiles a kernel exactly
 // once per fingerprint even when many engines race to characterise it
@@ -20,7 +23,9 @@ func TestEngineUsesCompiledPath(t *testing.T) {
 		t.Fatal("compiled runner is not installed as the process executor")
 	}
 
-	b := kernelir.NewBuilder("sweep_compile_integration")
+	// A name of its own per run keeps the kernel new to the process-wide
+	// program cache under -count=N.
+	b := kernelir.NewBuilder(fmt.Sprintf("sweep_compile_integration_%d", integrationRuns.Add(1)))
 	out := b.BufferF32("out", kernelir.Write)
 	gid := b.GlobalID()
 	acc := b.CopyF(b.ConstF(0))

@@ -11,16 +11,19 @@
 package sweep
 
 import (
-	"container/list"
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"synergy/internal/hw"
 	"synergy/internal/kernelir"
 	"synergy/internal/kernelir/compile"
+	"synergy/internal/memo"
 	"synergy/internal/metrics"
 	"synergy/internal/telemetry"
 )
@@ -32,13 +35,16 @@ import (
 const DefaultCacheCap = 4096
 
 // Key is the content key a memoized sweep is stored under: the device
-// identity, the kernel fingerprint (a hash of its full disassembly, so
-// any change to the instruction stream, parameters or traffic factor
-// yields a new key) and the launch size.
+// spec, the kernel fingerprint (a hash of its full disassembly, so any
+// change to the instruction stream, parameters or traffic factor yields
+// a new key) and the launch size. Device is the spec's name; the key
+// also carries the exact content of every other spec field, so two
+// specs that differ anywhere never share a sweep.
 type Key struct {
 	Device string
 	Kernel string
 	Items  int64
+	spec   *specID
 }
 
 // String renders the key for diagnostics.
@@ -46,34 +52,53 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/%s/%d", k.Device, k.Kernel, k.Items)
 }
 
-// Fingerprint returns the content fingerprint of a kernel: the SHA-256
-// of its disassembly (name, parameters, body, locals, traffic factor).
-// It is the same identity the compiled-program cache keys on (see
-// kernelir.Fingerprint), so the engine's memo and the program cache
-// agree on when two kernels are the same kernel.
-func Fingerprint(k *kernelir.Kernel) string {
-	return kernelir.Fingerprint(k)
+// specID is the exact content of an hw.Spec apart from its name, as a
+// comparable value: integers as they are, floats by bit pattern (so -0
+// and +0 stay distinct) and the clock table as its bytes.
+type specID struct {
+	vendor, class, memFreq, defaultCore, sms, lanes int
+	floats                                          [14]uint64
+	table                                           string
 }
 
-// specKey identifies a device spec: the name plus the shape of its
-// frequency table, so two specs sharing a name but different clock
-// tables cannot alias in the cache.
-func specKey(s *hw.Spec) string {
-	return fmt.Sprintf("%s/%d@%d-%d/base%d",
-		s.Name, len(s.CoreFreqsMHz), s.MinCoreMHz(), s.MaxCoreMHz(), s.BaselineCoreMHz())
-}
+// specs interns spec contents, so all keys of one spec share one copy
+// of its clock table and compare by pointer. Past specsCap distinct
+// contents the table is cleared; a spec seen again afterwards gets a
+// new identity, which costs sweep misses, never wrong answers.
+const specsCap = 1024
 
-// entry is one memoized (or in-flight) sweep. done is closed once sweep
-// and err are final; concurrent requesters of the same key block on it
-// instead of recomputing. elem is the entry's position in the LRU list
-// (nil once evicted). Evicting an in-flight entry is safe: waiters hold
-// the pointer and still see the result; only future requesters miss.
-type entry struct {
-	key   Key
-	done  chan struct{}
-	sweep *metrics.Sweep
-	err   error
-	elem  *list.Element
+var (
+	specsMu sync.Mutex
+	specs   = map[specID]*specID{}
+)
+
+func internSpec(s *hw.Spec) *specID {
+	freqs := s.CoreFreqsMHz
+	id := specID{
+		vendor: int(s.Vendor), class: int(s.Class), memFreq: s.MemFreqMHz,
+		defaultCore: s.DefaultCoreMHz, sms: s.SMs, lanes: s.LanesPerSM,
+		// A view of the caller's table for the lookup; only a new
+		// entry stores a copy.
+		table: unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(freqs))), len(freqs)*int(unsafe.Sizeof(0))),
+	}
+	for i, v := range [...]float64{s.AreaMM2, s.MemBWBytes, s.BWKneeFrac, s.LaunchOverheadSec, s.ClockSetOverheadSec,
+		s.IdlePowerW, s.TDPWatts, s.VMinVolts, s.VMaxVolts, s.VFloorFrac,
+		s.CoreDynCoeff, s.MemDynCoeff, s.LeakCoeff, s.BaseActivity} {
+		id.floats[i] = math.Float64bits(v)
+	}
+	specsMu.Lock()
+	defer specsMu.Unlock()
+	if p, ok := specs[id]; ok {
+		return p
+	}
+	if len(specs) >= specsCap {
+		clear(specs)
+	}
+	p := new(specID)
+	*p = id
+	p.table = strings.Clone(id.table)
+	specs[*p] = p
+	return p
 }
 
 // Engine is a concurrency-safe, memoizing parallel sweep service.
@@ -81,15 +106,12 @@ type entry struct {
 type Engine struct {
 	workers  int
 	cacheCap int
+	hook     func(Key)
+	memo     *memo.Memo[Key, *metrics.Sweep]
 
-	mu      sync.Mutex
-	entries map[Key]*entry
-	order   *list.List // front = most recently used; values are *entry
-	hook    func(Key)
-	tel     *telemetry.Registry
-
-	evals     atomic.Int64
-	evictions atomic.Int64
+	mu         sync.Mutex
+	tel        *telemetry.Registry
+	telEvicted int64 // memo evictions already counted into tel
 }
 
 // Option configures an Engine.
@@ -121,15 +143,12 @@ func WithHook(fn func(Key)) Option {
 
 // NewEngine constructs an engine with an empty cache.
 func NewEngine(opts ...Option) *Engine {
-	e := &Engine{
-		workers:  runtime.GOMAXPROCS(0),
-		cacheCap: DefaultCacheCap,
-		entries:  map[Key]*entry{},
-		order:    list.New(),
-	}
+	e := &Engine{workers: runtime.GOMAXPROCS(0), cacheCap: DefaultCacheCap}
 	for _, o := range opts {
 		o(e)
 	}
+	e.memo = memo.New[Key, *metrics.Sweep](e.cacheCap)
+	e.memo.SetHook(e.hook)
 	return e
 }
 
@@ -143,11 +162,7 @@ func Shared() *Engine { return shared }
 
 // SetHook replaces the engine's evaluation hook (nil to remove). Meant
 // for diagnostics and call-count assertions on the shared engine.
-func (e *Engine) SetHook(fn func(Key)) {
-	e.mu.Lock()
-	e.hook = fn
-	e.mu.Unlock()
-}
+func (e *Engine) SetHook(fn func(Key)) { e.memo.SetHook(fn) }
 
 // SetTelemetry attaches a telemetry registry (nil detaches): requests
 // are counted as synergy_sweep_requests_total{result="hit"|"miss"} —
@@ -159,74 +174,49 @@ func (e *Engine) SetHook(fn func(Key)) {
 func (e *Engine) SetTelemetry(r *telemetry.Registry) {
 	e.mu.Lock()
 	e.tel = r
+	e.telEvicted = e.memo.Evictions()
 	e.mu.Unlock()
 }
 
-func (e *Engine) telemetry() *telemetry.Registry {
+// count records one finished request into the attached registry: a hit
+// when it did not compute, a miss when its computation succeeded, and
+// the evictions the memo has made since the last request.
+func (e *Engine) count(computed bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.tel
+	if e.tel == nil {
+		return
+	}
+	switch {
+	case !computed:
+		e.tel.Counter("synergy_sweep_requests_total", "result", "hit").Inc()
+	case err == nil:
+		e.tel.Counter("synergy_sweep_requests_total", "result", "miss").Inc()
+	}
+	if n := e.memo.Evictions(); n > e.telEvicted {
+		e.tel.Counter("synergy_sweep_evictions_total").Add(n - e.telEvicted)
+		e.telEvicted = n
+	}
 }
 
 // Evaluations returns how many sweeps the engine has actually computed
 // (cache misses). Requests served from the cache do not count.
-func (e *Engine) Evaluations() int64 { return e.evals.Load() }
+func (e *Engine) Evaluations() int64 { return e.memo.Misses() }
 
 // Evictions returns how many memoized sweeps the LRU bound has evicted.
-func (e *Engine) Evictions() int64 { return e.evictions.Load() }
+func (e *Engine) Evictions() int64 { return e.memo.Evictions() }
 
 // CacheSize returns the number of memoized sweeps.
-func (e *Engine) CacheSize() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.entries)
-}
+func (e *Engine) CacheSize() int { return e.memo.Len() }
 
 // Invalidate drops every memoized sweep. In-flight evaluations complete
 // normally but are not re-inserted for new requesters. Invalidation is
 // not eviction: the Evictions counter is untouched.
-func (e *Engine) Invalidate() {
-	e.mu.Lock()
-	for _, en := range e.entries {
-		en.elem = nil
-	}
-	e.entries = map[Key]*entry{}
-	e.order = list.New()
-	e.mu.Unlock()
-}
-
-// removeLocked unlinks an entry from the cache (caller holds e.mu).
-func (e *Engine) removeLocked(en *entry) {
-	delete(e.entries, en.key)
-	if en.elem != nil {
-		e.order.Remove(en.elem)
-		en.elem = nil
-	}
-}
-
-// insertLocked links a fresh entry at the MRU position and evicts from
-// the LRU end while over cap (caller holds e.mu).
-func (e *Engine) insertLocked(en *entry) {
-	e.entries[en.key] = en
-	en.elem = e.order.PushFront(en)
-	if e.cacheCap <= 0 {
-		return
-	}
-	for len(e.entries) > e.cacheCap {
-		back := e.order.Back()
-		if back == nil {
-			return
-		}
-		victim := back.Value.(*entry)
-		e.removeLocked(victim)
-		e.evictions.Add(1)
-		e.tel.Counter("synergy_sweep_evictions_total").Inc()
-	}
-}
+func (e *Engine) Invalidate() { e.memo.Reset() }
 
 // KeyFor returns the content key the engine would use for a request.
 func KeyFor(spec *hw.Spec, k *kernelir.Kernel, items int64) Key {
-	return Key{Device: specKey(spec), Kernel: Fingerprint(k), Items: items}
+	return Key{Device: spec.Name, Kernel: kernelir.Fingerprint(k), Items: items, spec: internSpec(spec)}
 }
 
 // GroundTruth measures (through the device model) the per-item
@@ -253,54 +243,16 @@ func (e *Engine) GroundTruthContext(ctx context.Context, spec *hw.Spec, k *kerne
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	key := KeyFor(spec, k, items)
-
-	e.mu.Lock()
-	if en, ok := e.entries[key]; ok {
-		if en.elem != nil {
-			e.order.MoveToFront(en.elem)
-		}
-		tel := e.tel
-		e.mu.Unlock()
-		tel.Counter("synergy_sweep_requests_total", "result", "hit").Inc()
-		select {
-		case <-en.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if en.err != nil {
-			return nil, en.err
-		}
-		return cloneSweep(en.sweep), nil
+	computed := false
+	sw, err := e.memo.Do(ctx, KeyFor(spec, k, items), func() (*metrics.Sweep, error) {
+		computed = true
+		return e.evaluate(ctx, spec, k, items)
+	})
+	e.count(computed, err)
+	if err != nil {
+		return nil, err
 	}
-	en := &entry{key: key, done: make(chan struct{})}
-	e.insertLocked(en)
-	hook := e.hook
-	tel := e.tel
-	e.mu.Unlock()
-
-	en.sweep, en.err = e.evaluate(ctx, spec, k, items)
-	if en.err != nil {
-		// Failed sweeps are not memoized: a later request re-evaluates.
-		// Guard by identity — the slot may already hold a successor
-		// (eviction plus re-request while we were computing).
-		e.mu.Lock()
-		if cur, ok := e.entries[key]; ok && cur == en {
-			e.removeLocked(en)
-		}
-		e.mu.Unlock()
-	} else {
-		e.evals.Add(1)
-		tel.Counter("synergy_sweep_requests_total", "result", "miss").Inc()
-		if hook != nil {
-			hook(key)
-		}
-	}
-	close(en.done)
-	if en.err != nil {
-		return nil, en.err
-	}
-	return cloneSweep(en.sweep), nil
+	return cloneSweep(sw), nil
 }
 
 // evaluate computes one sweep, fanning the frequency table out over the

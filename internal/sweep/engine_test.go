@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -275,10 +276,10 @@ func TestFingerprintContentSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if Fingerprint(a.Kernel) == Fingerprint(b.Kernel) {
+	if kernelir.Fingerprint(a.Kernel) == kernelir.Fingerprint(b.Kernel) {
 		t.Error("different kernels share a fingerprint")
 	}
-	if Fingerprint(a.Kernel) != Fingerprint(a.Kernel) {
+	if kernelir.Fingerprint(a.Kernel) != kernelir.Fingerprint(a.Kernel) {
 		t.Error("fingerprint not stable")
 	}
 }
@@ -302,3 +303,118 @@ func TestForEachPropagatesError(t *testing.T) {
 type indexError struct{ msg string }
 
 func (e *indexError) Error() string { return e.msg }
+
+// TestSpecVariantGetsItsOwnSweep: one engine must not serve a spec's
+// memoized sweep for a different spec that shares its name and clock
+// table. Regression: the key once covered only the name and the shape of
+// the clock table, so a V100 with halved bandwidth got the stock V100's
+// sweep (top-point time 0.01338 instead of 0.02664).
+func TestSpecVariantGetsItsOwnSweep(t *testing.T) {
+	t.Parallel()
+	b, err := benchsuite.ByName("vec_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	if _, err := eng.GroundTruth(hw.V100(), b.Kernel, b.CharItems); err != nil {
+		t.Fatal(err)
+	}
+	slow := hw.V100()
+	slow.MemBWBytes /= 2
+	got, err := eng.GroundTruth(slow, b.Kernel, b.CharItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewEngine().GroundTruth(slow, b.Kernel, b.CharItems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("halved-bandwidth V100 got top-point time %g, a fresh engine gives %g",
+			got.Points[len(got.Points)-1].TimeSec, want.Points[len(want.Points)-1].TimeSec)
+	}
+	if n := eng.Evaluations(); n != 2 {
+		t.Fatalf("evaluations = %d, want 2 (one per distinct spec)", n)
+	}
+}
+
+// TestKeyForCoversEverySpecField: changing any single field of a spec —
+// every element of the clock table included — changes its key, while a
+// separately built equal spec keeps it. The test walks hw.Spec by
+// reflection, so a field added later without a place in the key fails
+// here.
+func TestKeyForCoversEverySpecField(t *testing.T) {
+	t.Parallel()
+	b, err := benchsuite.ByName("vec_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := KeyFor(hw.V100(), b.Kernel, b.CharItems)
+	if KeyFor(hw.V100(), b.Kernel, b.CharItems) != base {
+		t.Fatal("equal specs got different keys")
+	}
+	if s := base.String(); !strings.HasPrefix(s, hw.V100().Name+"/") || strings.ContainsRune(s, 0) {
+		t.Fatalf("Key.String() = %q, want a readable <device>/<fingerprint>/<items>", s)
+	}
+	typ := reflect.TypeOf(hw.Spec{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		var variants []*hw.Spec
+		switch f.Type.Kind() {
+		case reflect.String:
+			s := hw.V100()
+			reflect.ValueOf(s).Elem().Field(i).SetString(s.Name + "x")
+			variants = append(variants, s)
+		case reflect.Int:
+			s := hw.V100()
+			v := reflect.ValueOf(s).Elem().Field(i)
+			v.SetInt(v.Int() + 1)
+			variants = append(variants, s)
+		case reflect.Float64:
+			s := hw.V100()
+			v := reflect.ValueOf(s).Elem().Field(i)
+			v.SetFloat(v.Float()*2 + 1)
+			variants = append(variants, s)
+		case reflect.Slice:
+			for j := range hw.V100().CoreFreqsMHz {
+				s := hw.V100()
+				s.CoreFreqsMHz = append([]int(nil), s.CoreFreqsMHz...)
+				s.CoreFreqsMHz[j]++
+				variants = append(variants, s)
+			}
+			s := hw.V100()
+			s.CoreFreqsMHz = append(append([]int(nil), s.CoreFreqsMHz...), 9999)
+			variants = append(variants, s)
+		default:
+			t.Fatalf("field %s has kind %s, which this test does not perturb", f.Name, f.Type.Kind())
+		}
+		for _, s := range variants {
+			if KeyFor(s, b.Kernel, b.CharItems) == base {
+				t.Errorf("changing %s leaves the sweep key unchanged", f.Name)
+			}
+		}
+	}
+}
+
+// TestSpecInternStaysBounded: the spec intern table never holds more
+// than specsCap contents, and equal specs keep sharing one identity.
+func TestSpecInternStaysBounded(t *testing.T) {
+	b, err := benchsuite.ByName("vec_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= specsCap; i++ {
+		s := hw.V100()
+		s.AreaMM2 = float64(i) + 0.5
+		KeyFor(s, b.Kernel, b.CharItems)
+	}
+	specsMu.Lock()
+	n := len(specs)
+	specsMu.Unlock()
+	if n > specsCap {
+		t.Fatalf("spec intern table holds %d contents, cap is %d", n, specsCap)
+	}
+	if KeyFor(hw.V100(), b.Kernel, b.CharItems) != KeyFor(hw.V100(), b.Kernel, b.CharItems) {
+		t.Fatal("equal specs got different keys")
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"synergy/internal/benchsuite"
 	"synergy/internal/hw"
+	"synergy/internal/telemetry"
 )
 
 // TestLRUEvictionBoundsCache: with a cap of 2, sweeping three distinct
@@ -176,5 +177,44 @@ func TestGroundTruthContextPreCanceled(t *testing.T) {
 	// The engine stays healthy for later, uncanceled requests.
 	if _, err := eng.GroundTruth(spec, b.Kernel, b.CharItems); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTelemetryMatchesCounters: the attached registry's request and
+// eviction counters agree with the engine's own counters, and evictions
+// made before the registry was attached are not reported.
+func TestTelemetryMatchesCounters(t *testing.T) {
+	t.Parallel()
+	spec := hw.V100()
+	eng := NewEngine(WithCacheCap(2), WithWorkers(1))
+	sweep := func(name string) {
+		b, err := benchsuite.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.GroundTruth(spec, b.Kernel, b.CharItems); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, name := range []string{"vec_add", "matmul", "median"} {
+		sweep(name)
+	}
+	reg := telemetry.NewRegistry()
+	eng.SetTelemetry(reg)
+	evals0, evictions0 := eng.Evaluations(), eng.Evictions()
+	// Resident: median, matmul. median hits; vec_add, black_scholes and
+	// median again each miss and evict one entry.
+	for _, name := range []string{"median", "vec_add", "black_scholes", "median"} {
+		sweep(name)
+	}
+	snap := reg.Snapshot()
+	if got, want := snap.CounterValue("synergy_sweep_requests_total", "result", "miss"), eng.Evaluations()-evals0; got != want || got != 3 {
+		t.Errorf("miss counter = %d, want %d = 3 new evaluations", got, want)
+	}
+	if got := snap.CounterValue("synergy_sweep_requests_total", "result", "hit"); got != 1 {
+		t.Errorf("hit counter = %d, want 1", got)
+	}
+	if got, want := snap.CounterTotal("synergy_sweep_evictions_total"), eng.Evictions()-evictions0; got != want || got != 3 {
+		t.Errorf("eviction counter = %d, want %d = 3 evictions since attaching", got, want)
 	}
 }
